@@ -114,7 +114,12 @@ struct ApproxInfo {
   double half_width = 0.0;  ///< Widest per-fact certified half-width.
   double confidence = 0.0;  ///< 1 − delta.
   double range = 1.0;       ///< Widest per-fact marginal range (1 or 2).
-  size_t memo_hits = 0;     ///< Coalition evaluations served by the memo.
+  /// Coalition evaluations served by the SatMemo. Schedule-dependent
+  /// telemetry, not part of the (request, seed) contract: parallel batches
+  /// race to insert a mask first, and a memo warmed by earlier requests
+  /// serves more. Sent on the wire under the response's volatile "stats"
+  /// block ("stats.memo_hits"), never inside "approx".
+  size_t memo_hits = 0;
 
   /// Strategy that produced the estimates ("hoeffding" | "bernstein" |
   /// "stratified") — echoed verbatim into responses so a caller can tell

@@ -55,8 +55,11 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    // Count before running: the task may publish its result (a future
+    // becoming ready) before returning, and a caller reading that result
+    // must already see the task counted.
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    task();
   }
 }
 

@@ -62,7 +62,9 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body, size_t grain = 1);
 
-  /// Number of queue tasks executed so far (monotone; stats only).
+  /// Number of queue tasks started so far (monotone; stats only). A task
+  /// is counted before it runs, so a caller that has seen a task's result
+  /// (e.g. through its future) also sees it counted.
   size_t tasks_executed() const { return tasks_executed_.load(); }
 
  private:

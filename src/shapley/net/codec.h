@@ -65,8 +65,14 @@ namespace shapley::net {
 ///               "root": {"name": "backend", "start_ms": 0, "ms": ...,
 ///                        "attrs": {"k": "v", ...},  // omitted when empty
 ///                        "children": [{...}, ...]}},// omitted when empty
-///     "stats": {"queue_ms": ..., "exec_ms": ...}
+///     "stats": {"queue_ms": ..., "exec_ms": ...,
+///               "memo_hits": ...}               // memo_hits on estimates
 ///   }
+///
+/// "approx" carries ApproxInfo except memo_hits: that count depends on
+/// thread scheduling and cache warmth, so it travels in the volatile
+/// "stats" block (which canonical replay comparison strips) and decodes
+/// back into ApproxInfo::memo_hits.
 ///
 /// The trace block is a SPAN TREE (obs/trace.h): start_ms is the offset
 /// from the parent span's start, so child spans nest within their parent's

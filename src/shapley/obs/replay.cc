@@ -15,9 +15,10 @@ using net::Json;
 namespace {
 
 /// Drops the run-volatile members from EVERY object level, not just the
-/// top one: "stats" and "trace" (the span tree times engine internals,
-/// different on every run), plus the relative-timestamp and latency
-/// members the /v1/debug/* endpoints carry ("t_ms", "uptime_ms",
+/// top one: "stats" (timings, and memo-hit counts that depend on thread
+/// scheduling and memo warmth) and "trace" (the span tree times engine
+/// internals, different on every run), plus the relative-timestamp and
+/// latency members the /v1/debug/* endpoints carry ("t_ms", "uptime_ms",
 /// "latency_us", "latency_ms") — within one run those are stable offsets,
 /// across runs they differ, so canonical comparison strips them. A shallow
 /// strip would leave volatile children behind and break bit-identical

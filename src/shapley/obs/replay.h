@@ -38,12 +38,12 @@ struct ReplayResult {
 };
 
 /// Canonical comparison form of one /v1/compute response body: parsed,
-/// run-volatile members ("stats" timings, "trace" span trees, and the
-/// "t_ms"/"uptime_ms"/"latency_us"/"latency_ms" offsets the /v1/debug/*
-/// endpoints carry) dropped RECURSIVELY at every object depth (the trace
-/// block nests spans within spans), re-dumped. Unparsable input is
-/// returned verbatim (a non-JSON body should fail a comparison loudly, not
-/// vanish).
+/// run-volatile members ("stats" timings and memo-hit counts, "trace" span
+/// trees, and the "t_ms"/"uptime_ms"/"latency_us"/"latency_ms" offsets the
+/// /v1/debug/* endpoints carry) dropped RECURSIVELY at every object depth
+/// (the trace block nests spans within spans), re-dumped. Unparsable input
+/// is returned verbatim (a non-JSON body should fail a comparison loudly,
+/// not vanish).
 std::string CanonicalResponseBody(const std::string& raw);
 
 /// Canonical form of a /v1/batch response: each ndjson line canonicalized

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -207,6 +208,23 @@ TEST(CodecTest, ResponsesRoundTripBitIdentically) {
       EXPECT_EQ(decoded.approx->fact_samples, response.approx->fact_samples);
       EXPECT_EQ(decoded.approx->fact_half_widths,
                 response.approx->fact_half_widths);
+      EXPECT_EQ(decoded.approx->memo_hits, response.approx->memo_hits);
+    }
+
+    // memo_hits is telemetry: it travels in the volatile "stats" block,
+    // only on estimates, and never inside "approx".
+    const Json* stats = parsed->Find("stats");
+    ASSERT_NE(stats, nullptr);
+    const Json* memo_hits = stats->Find("memo_hits");
+    if (response.approx.has_value()) {
+      // Nonzero, so a decoder that dropped the count would show.
+      EXPECT_GT(response.approx->memo_hits, 0u);
+      ASSERT_NE(memo_hits, nullptr);
+      EXPECT_EQ(memo_hits->IfUint64(),
+                std::optional<uint64_t>(response.approx->memo_hits));
+      EXPECT_EQ(parsed->Find("approx")->Find("memo_hits"), nullptr);
+    } else {
+      EXPECT_EQ(memo_hits, nullptr);
     }
   }
 }

@@ -169,9 +169,7 @@ TEST(SlowLogE2E, CapturesOutliersAndReplaysBitIdentically) {
     server.Stop();
   }
 
-  // Ground truth: what each captured body answers on a FRESH server (the
-  // response's memo_hits figure depends on cache state, so the reference
-  // run must start as cold as the replay target will).
+  // Ground truth: what each captured body answers on a FRESH server.
   {
     ServiceOptions service_options;
     service_options.threads = 1;
