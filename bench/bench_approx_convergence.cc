@@ -25,7 +25,6 @@
 #include "shapley/approx/sampling.h"
 #include "shapley/engines/fgmc.h"
 #include "shapley/engines/svc.h"
-#include "shapley/exec/oracle_cache.h"
 #include "shapley/exec/thread_pool.h"
 #include "shapley/gen/generators.h"
 #include "shapley/query/query_parser.h"
@@ -87,11 +86,10 @@ int main(int argc, char** argv) {
   const double exact_ms = exact_timer.ElapsedMs();
 
   ThreadPool pool(threads);
-  OracleCache cache;  // Shared across the sweep: the SatMemo stays warm.
 
-  Table table({"samples", "half_width", "max_err", "mean_err", "memo_hits",
-               "wall_ms", "bounded"},
-              {10, 13, 12, 12, 12, 10, 10});
+  Table table({"samples", "half_width", "max_err", "mean_err", "wall_ms",
+               "bounded"},
+              {10, 13, 12, 12, 10, 10});
   table.PrintHeader();
 
   bool all_bounded = true;
@@ -103,7 +101,7 @@ int main(int argc, char** argv) {
                                      .seed = 17,
                                      .max_samples = samples});
     sampler.set_exec_context(
-        ExecContext{threads > 1 ? &pool : nullptr, &cache});
+        ExecContext{threads > 1 ? &pool : nullptr, nullptr});
 
     Timer timer;
     std::map<Fact, BigRational> estimate = sampler.AllValues(*query, db);
@@ -121,8 +119,8 @@ int main(int argc, char** argv) {
     const bool bounded = max_err <= info.half_width;
     all_bounded = all_bounded && bounded;
 
-    table.PrintRow(samples, info.half_width, max_err, mean_err,
-                   info.memo_hits, wall_ms, PassFail(bounded));
+    table.PrintRow(samples, info.half_width, max_err, mean_err, wall_ms,
+                   PassFail(bounded));
     json.Row({{"name", "convergence"},
               {"facts", static_cast<double>(n)},
               {"threads", static_cast<double>(threads)},
@@ -130,7 +128,6 @@ int main(int argc, char** argv) {
               {"half_width", info.half_width},
               {"max_abs_error", max_err},
               {"mean_abs_error", mean_err},
-              {"memo_hits", static_cast<double>(info.memo_hits)},
               {"wall_ms", wall_ms},
               {"exact_ms", exact_ms},
               {"bounded", bounded ? "yes" : "no"}});

@@ -23,8 +23,11 @@ echo "== service tests (guard: the glob must have picked them up) =="
 "$build_dir/service_shapley_service_test" --gtest_brief=1
 "$build_dir/service_service_concurrency_test" --gtest_brief=1
 
-echo "== approx tests (guard: cross-validation vs the exact engines) =="
+echo "== approx tests (guard: cross-validation, goldens, coverage, stopping properties) =="
 "$build_dir/approx_sampling_test" --gtest_brief=1
+"$build_dir/approx_golden_test" --gtest_brief=1
+"$build_dir/approx_coverage_test" --gtest_brief=1
+"$build_dir/approx_stopping_property_test" --gtest_brief=1
 
 echo "== net tests (guard: codec round-trips + e2e socket) =="
 "$build_dir/net_codec_test" --gtest_brief=1

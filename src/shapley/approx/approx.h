@@ -114,7 +114,9 @@ struct ApproxInfo {
   double half_width = 0.0;  ///< Widest per-fact certified half-width.
   double confidence = 0.0;  ///< 1 − delta.
   double range = 1.0;       ///< Widest per-fact marginal range (1 or 2).
-  /// Coalition evaluations served by the SatMemo. Schedule-dependent
+  /// Coalition evaluations served by the SatMemo — the fallback path's
+  /// counter, always 0 on requests decided by lineage masks (monotone
+  /// queries over at most 64 facts). Schedule-dependent
   /// telemetry, not part of the (request, seed) contract: parallel batches
   /// race to insert a mask first, and a memo warmed by earlier requests
   /// serves more. Sent on the wire under the response's volatile "stats"

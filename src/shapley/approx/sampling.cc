@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "shapley/approx/rng.h"
@@ -14,7 +15,9 @@
 #include "shapley/exec/oracle_cache.h"
 #include "shapley/exec/sat_memo.h"
 #include "shapley/exec/thread_pool.h"
+#include "shapley/lineage/lineage.h"
 #include "shapley/obs/trace.h"
+#include "shapley/query/supports.h"
 
 namespace shapley {
 
@@ -41,6 +44,143 @@ constexpr size_t kBatchesPerRound = 4;
 /// vanishingly rare beyond — memoizing large prefixes would only grow the
 /// table without ever hitting.
 constexpr size_t kMemoMaxCoalition = 8;
+
+/// Support-enumeration cap of the lineage path. Lineage construction
+/// (hom search plus the quadratic minimality filter) must stay cheap next
+/// to the sampling it replaces; an instance with more supports than this
+/// takes the Evaluate + SatMemo path instead.
+constexpr size_t kLineageSupportCap = 1024;
+
+/// The lineage of a monotone query as 64-bit clause masks over the
+/// sampler's canonical player positions: S ∪ Dx |= q iff some clause mask
+/// is a subset of S. Each clause is listed under every player it contains,
+/// so adding player p to a coalition tests only clauses_of[p] — the only
+/// clauses p can complete.
+struct LineageMasks {
+  bool certainly_true = false;
+  std::vector<std::vector<uint64_t>> clauses_of;
+};
+
+/// The masks of `query` over `db`, with player p standing for the fact
+/// endo[order[p]]. Nullopt when masks cannot decide the instance exactly
+/// and cheaply: a non-monotone query, more than 64 players, a query class
+/// whose supports would be enumerated subset by subset, or more supports
+/// than kLineageSupportCap.
+std::optional<LineageMasks> BuildLineageMasks(
+    const BooleanQuery& query, const PartitionedDatabase& db,
+    const std::vector<size_t>& order) {
+  const size_t n = order.size();
+  if (!query.IsMonotone() || n > 64 || !HasStructuralSupports(query)) {
+    return std::nullopt;
+  }
+  Lineage lineage;
+  try {
+    lineage = BuildLineage(query, db, kLineageSupportCap);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  // Lineage variables are endogenous indices; players are canonical
+  // positions.
+  std::vector<size_t> player_of(n);
+  for (size_t p = 0; p < n; ++p) player_of[order[p]] = p;
+
+  LineageMasks out;
+  out.certainly_true = lineage.certainly_true;
+  out.clauses_of.resize(n);
+  for (const std::vector<uint32_t>& clause : lineage.clauses) {
+    uint64_t mask = 0;
+    for (uint32_t variable : clause) mask |= uint64_t{1} << player_of[variable];
+    for (uint32_t variable : clause) {
+      out.clauses_of[player_of[variable]].push_back(mask);
+    }
+  }
+  return out;
+}
+
+/// A walk's growing prefix coalition, decided by lineage masks: Add is a
+/// handful of mask tests, Satisfied a field read. The verdict is updated
+/// on EVERY Add (also at positions the walk does not read), so it is
+/// always exact for the whole prefix.
+class MaskCoalition {
+ public:
+  explicit MaskCoalition(const LineageMasks& lineage) : lineage_(lineage) {}
+
+  void Reset() {
+    mask_ = 0;
+    satisfied_ = lineage_.certainly_true;
+  }
+  void Add(size_t player) {
+    mask_ |= uint64_t{1} << player;
+    if (satisfied_) return;
+    for (uint64_t clause : lineage_.clauses_of[player]) {
+      if ((clause & ~mask_) == 0) {
+        satisfied_ = true;
+        return;
+      }
+    }
+  }
+  bool Satisfied() const { return satisfied_; }
+
+ private:
+  const LineageMasks& lineage_;
+  uint64_t mask_ = 0;
+  bool satisfied_ = false;
+};
+
+/// A walk's growing prefix coalition, decided by evaluating the query on
+/// the prefix world Dx ∪ S (the path for everything the masks cannot
+/// serve). One world per batch: Add inserts a fact and Reset removes the
+/// walk's facts again — O(walk length) restores instead of a full
+/// exogenous copy per permutation. Small coalitions are memoized in the
+/// shared SatMemo (null beyond 64 players, where masks stop being
+/// representable).
+class WorldCoalition {
+ public:
+  WorldCoalition(const BooleanQuery& query, const std::vector<Fact>& endo,
+                 const std::vector<size_t>& order, const Database& exogenous,
+                 SatMemo* memo)
+      : query_(query), endo_(endo), order_(order), world_(exogenous),
+        memo_(memo) {
+    walked_.reserve(endo.size());
+  }
+
+  void Reset() {
+    for (size_t player : walked_) world_.Remove(endo_[order_[player]]);
+    walked_.clear();
+    mask_ = 0;
+  }
+  void Add(size_t player) {
+    world_.Insert(endo_[order_[player]]);
+    walked_.push_back(player);
+    // No memo beyond 64 players, where the shift would be UB.
+    if (memo_ != nullptr) mask_ |= uint64_t{1} << player;
+  }
+  bool Satisfied() {
+    const bool memoizable =
+        memo_ != nullptr &&
+        static_cast<size_t>(std::popcount(mask_)) <= kMemoMaxCoalition;
+    if (memoizable) {
+      if (std::optional<bool> verdict = memo_->Lookup(mask_)) {
+        ++memo_hits_;
+        return *verdict;
+      }
+    }
+    const bool satisfied = query_.Evaluate(world_);
+    if (memoizable) memo_->Insert(mask_, satisfied);
+    return satisfied;
+  }
+  size_t memo_hits() const { return memo_hits_; }
+
+ private:
+  const BooleanQuery& query_;
+  const std::vector<Fact>& endo_;
+  const std::vector<size_t>& order_;
+  Database world_;
+  SatMemo* memo_;
+  std::vector<size_t> walked_;
+  uint64_t mask_ = 0;
+  size_t memo_hits_ = 0;
+};
 
 size_t IndexOfEndogenous(const PartitionedDatabase& db, const Fact& fact) {
   const auto& endo = db.endogenous().facts();
@@ -188,20 +328,47 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
   const size_t num_batches =
       (total_units + units_per_batch - 1) / units_per_batch;
 
-  // The shared satisfaction oracle: through the exec-context cache when
+  // How a walk decides "S ∪ Dx |= q" for its prefix coalitions. Monotone
+  // queries over at most 64 players use the lineage: its clauses (the
+  // endogenous parts of the minimal supports) become bitmasks over the
+  // canonical positions, built once per request, and every prefix is
+  // decided by mask tests — no world, no memo, no query evaluation.
+  // Everything else evaluates the query on the prefix world, with small
+  // coalitions memoized in a SatMemo: through the exec-context cache when
   // installed (amortizes across requests with the same fingerprint), a
   // run-local memo otherwise. Coalition masks index the canonical
-  // (text-ordered) fact positions, so they are canonical per fingerprint
-  // — two processes memoizing the same instance agree bit for bit; beyond
-  // 64 facts masks stop being representable and the memo is skipped.
+  // (text-ordered) fact positions, so they are canonical per fingerprint —
+  // two processes memoizing the same instance agree bit for bit; beyond 64
+  // facts masks stop being representable and the memo is skipped. Both
+  // deciders give the same verdict on every coalition, so the estimates do
+  // not depend on which one served the request.
+  const std::optional<LineageMasks> lineage_masks =
+      BuildLineageMasks(query, db, order);
   std::shared_ptr<SatMemo> memo;
-  if (n <= 64) {
+  if (!lineage_masks.has_value() && n <= 64) {
     memo = exec_.cache != nullptr ? exec_.cache->SatTable(query, db)
                                   : std::make_shared<SatMemo>();
   }
+  // SatTable inserts the memo empty; the run charges what it grew the memo
+  // to when it ends, however it ends (completed, cancelled, past its
+  // deadline).
+  auto settle_memo = [&] {
+    if (memo != nullptr && exec_.cache != nullptr) {
+      exec_.cache->SettleSatTable(query, db);
+    }
+  };
 
-  // v(∅) = [Dx |= q], the `prev` seed of every walk — evaluated once.
-  const bool base_satisfied = query.Evaluate(db.exogenous());
+  // v(∅) = [Dx |= q], the `prev` seed of every walk — decided once.
+  const bool base_satisfied = lineage_masks.has_value()
+                                  ? lineage_masks->certainly_true
+                                  : query.Evaluate(db.exogenous());
+
+  // Every Fisher–Yates shuffle draws from the bounds 2..n; their rejection
+  // thresholds are computed once per request.
+  std::vector<uint64_t> shuffle_thresholds(n + 1, 0);
+  for (size_t bound = 1; bound <= n; ++bound) {
+    shuffle_thresholds[bound] = SplitMix64::Threshold(bound);
+  }
 
   // Retirement snapshot the walks truncate against (canonical positions;
   // empty = truncation off or nothing retired yet). Updated ONLY between
@@ -249,25 +416,15 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
     std::vector<int64_t> local_net(n, 0);
     std::vector<int64_t> local_sq(n, 0);
     std::vector<int64_t> unit_sum(n, 0);  // One unit's per-fact marginals.
-    size_t local_hits = 0;
     std::vector<size_t> perm(n);
     std::iota(perm.begin(), perm.end(), size_t{0});
     std::vector<size_t> reversed;  // Stratified: antithetic partner.
 
-    // One world per batch: each walk inserts its prefix facts and removes
-    // them again afterwards — O(walk length) restores instead of a full
-    // exogenous copy per permutation (early-exited monotone walks touch
-    // only a handful of facts).
-    Database world = db.exogenous();
-    std::vector<size_t> walked;
-    walked.reserve(n);
-
     // One permutation walk: marginals accumulate into unit_sum (a group's
     // walks share one unit_sum; a plain unit is a single walk). Players
     // are CANONICAL positions; endo[order[player]] is the actual fact.
-    auto walk = [&](const std::vector<size_t>& arrangement) {
-      walked.clear();
-      uint64_t mask = 0;
+    auto walk = [&](const std::vector<size_t>& arrangement, auto& coalition) {
+      coalition.Reset();
       bool prev = base_satisfied;
       // Truncation bound: the position of the LAST live fact in this
       // arrangement — everything beyond it measures only frozen tallies.
@@ -288,72 +445,67 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
         // predecessor.)
         if (monotone && prev) break;
         const size_t player = arrangement[i];
-        world.Insert(endo[order[player]]);
-        walked.push_back(player);
-        // Masks exist only for the memo, and only while every player fits
-        // a 64-bit coalition (shifting by >= 64 would be UB).
-        if (memo != nullptr) mask |= uint64_t{1} << player;
+        coalition.Add(player);
 
         // Evaluate iff this position's marginal is still read (live fact)
         // or the NEXT position's is (its marginal subtracts this prefix's
         // value). Two retired positions in a row need no evaluation at
-        // all — the world just accumulates their facts.
+        // all — the coalition just accumulates their facts.
         if (truncate && retired_walk_snapshot[player] &&
             (i == last_live || retired_walk_snapshot[arrangement[i + 1]])) {
           continue;
         }
 
-        bool current;
-        bool memoized = false;
-        const bool memoizable =
-            memo != nullptr &&
-            static_cast<size_t>(std::popcount(mask)) <= kMemoMaxCoalition;
-        if (memoizable) {
-          if (std::optional<bool> verdict = memo->Lookup(mask)) {
-            current = *verdict;
-            memoized = true;
-            ++local_hits;
-          }
-        }
-        if (!memoized) {
-          current = query.Evaluate(world);
-          if (memoizable) memo->Insert(mask, current);
-        }
-
+        const bool current = coalition.Satisfied();
         unit_sum[player] +=
             static_cast<int64_t>(current) - static_cast<int64_t>(prev);
         prev = current;
       }
-      for (size_t player : walked) world.Remove(endo[order[player]]);
     };
 
-    const size_t first = batch * units_per_batch;
-    const size_t last = std::min(total_units, first + units_per_batch);
-    for (size_t u = first; u < last; ++u) {
-      // Fisher–Yates; carrying the previous permutation as the starting
-      // arrangement is fine (the shuffle is uniform from any start) and
-      // deterministic (batches replay their whole schedule from the seed).
-      for (size_t i = n - 1; i > 0; --i) {
-        std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
-      }
+    // The batch's sampling units, with the walk specialized to the
+    // coalition decider (no per-position dispatch).
+    auto sample_units = [&](auto& coalition) {
+      const size_t first = batch * units_per_batch;
+      const size_t last = std::min(total_units, first + units_per_batch);
+      for (size_t u = first; u < last; ++u) {
+        // Fisher–Yates; carrying the previous permutation as the starting
+        // arrangement is fine (the shuffle is uniform from any start) and
+        // deterministic (batches replay their whole schedule from the
+        // seed).
+        for (size_t i = n - 1; i > 0; --i) {
+          std::swap(perm[i],
+                    perm[rng.NextBelow(i + 1, shuffle_thresholds[i + 1])]);
+        }
 
-      walk(perm);
-      if (unit_perms == kStrataGroupPermutations) {
-        // One iid unit = one antithetic pair: the reversal samples every
-        // fact at the complementary position stratum (see strata.h for
-        // why that is both unbiased and variance-cutting).
-        ReverseInto(perm, &reversed);
-        walk(reversed);
-      }
+        walk(perm, coalition);
+        if (unit_perms == kStrataGroupPermutations) {
+          // One iid unit = one antithetic pair: the reversal samples every
+          // fact at the complementary position stratum (see strata.h for
+          // why that is both unbiased and variance-cutting).
+          ReverseInto(perm, &reversed);
+          walk(reversed, coalition);
+        }
 
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t x = unit_sum[i];
-        if (x != 0) {
-          local_net[i] += x;
-          local_sq[i] += x * x;
-          unit_sum[i] = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const int64_t x = unit_sum[i];
+          if (x != 0) {
+            local_net[i] += x;
+            local_sq[i] += x * x;
+            unit_sum[i] = 0;
+          }
         }
       }
+    };
+
+    size_t local_hits = 0;
+    if (lineage_masks.has_value()) {
+      MaskCoalition coalition(*lineage_masks);
+      sample_units(coalition);
+    } else {
+      WorldCoalition coalition(query, endo, order, db.exogenous(), memo.get());
+      sample_units(coalition);
+      local_hits = coalition.memo_hits();
     }
 
     std::lock_guard<std::mutex> lock(merge_mutex);
@@ -365,11 +517,16 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
   };
 
   auto run_span = [&](size_t from, size_t to) {
-    if (exec_.pool != nullptr && exec_.pool->num_threads() > 1 &&
-        to - from > 1) {
-      exec_.pool->ParallelFor(from, to, run_batch);
-    } else {
-      for (size_t batch = from; batch < to; ++batch) run_batch(batch);
+    try {
+      if (exec_.pool != nullptr && exec_.pool->num_threads() > 1 &&
+          to - from > 1) {
+        exec_.pool->ParallelFor(from, to, run_batch);
+      } else {
+        for (size_t batch = from; batch < to; ++batch) run_batch(batch);
+      }
+    } catch (...) {
+      settle_memo();  // An aborted run grew the memo too.
+      throw;
     }
   };
 
@@ -460,6 +617,7 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
                                         info.fact_half_widths.end());
   }
 
+  settle_memo();
   info.memo_hits = memo_hits.load();
   {
     std::lock_guard<std::mutex> lock(info_mutex_);

@@ -50,17 +50,27 @@ namespace shapley {
 ///    decisions only BETWEEN rounds of batches, from the merged tallies,
 ///    so early exit never breaks that guarantee — it only lets the batch
 ///    fan-out stop scheduling rounds the contract no longer needs;
-///  - one permutation walk evaluates the query on each prefix world,
-///    yielding one marginal sample for EVERY fact: m permutations give m
-///    samples per fact for ~n·m evaluations total;
+///  - one permutation walk decides "S ∪ Dx |= q" for each prefix
+///    coalition S, yielding one marginal sample for EVERY fact: m
+///    permutations give m samples per fact for ~n·m decisions total;
 ///  - monotone queries early-exit a walk at the first satisfied prefix
 ///    (all later marginals are 0), which in practice cuts the walk to the
 ///    satisfying prefix length;
-///  - prefix coalitions are memoized in a SatMemo shared through the
-///    exec-context OracleCache under the same canonical fingerprint as
-///    counting work (|Dn| ≤ 64 and small prefixes only, where revisits
-///    actually happen), so repeated sub-coalition evaluations amortize
-///    across batches, threads and repeated requests.
+///  - for a monotone query over |Dn| ≤ 64, "S ∪ Dx |= q" is one fixed
+///    positive DNF of S — the lineage (lineage/lineage.h), whose clauses
+///    are the endogenous parts of the minimal supports. It is built once
+///    per request, each clause becomes a 64-bit mask over the canonical
+///    positions, and the masks are indexed by player, so adding a player
+///    to the prefix tests only the clauses it can complete: no world, no
+///    query evaluation, no memo;
+///  - every other instance (non-monotone queries, |Dn| > 64, or a lineage
+///    with more minimal supports than a fixed internal cap) evaluates the
+///    query on each prefix world; small prefix coalitions are memoized in
+///    a SatMemo shared through the exec-context OracleCache under the same
+///    canonical fingerprint as counting work (|Dn| ≤ 64 only), so repeated
+///    sub-coalition evaluations amortize across batches, threads and
+///    repeated requests. Both deciders agree on every coalition, so the
+///    estimates do not depend on which one served a request.
 ///
 /// Estimates are returned as exact rationals of the empirical mean
 /// ((#positive − #negative marginals) / samples backing the fact), so
@@ -112,9 +122,9 @@ class SamplingSvc : public SvcEngine {
 
   /// Retired-fact walk truncation (adaptive strategies; default ON). Once
   /// the stopper retires a fact its tallies are frozen, so later walks
-  /// skip the query evaluations that exist only to measure retired facts'
-  /// marginals — the walk still inserts the prefix facts (later active
-  /// positions need the world) but evaluates a position only when it, or
+  /// skip the decisions that exist only to measure retired facts'
+  /// marginals — the walk still adds the prefix facts (later active
+  /// positions need the coalition) but decides a position only when it, or
   /// the position after it, belongs to a live fact, and ends at the last
   /// live position outright. Estimates are BIT-IDENTICAL either way
   /// (stopping_property_test asserts it); the toggle exists for that test

@@ -121,10 +121,7 @@ std::shared_ptr<SatMemo> OracleCache::SatTable(const BooleanQuery& query,
       // Memos grow after insertion (unlike the immutable polynomials and
       // circuits), so every access reconciles the budget against the
       // memo's current footprint.
-      const size_t now_bytes =
-          it->second->key.size() + it->second->value->ApproxBytes();
-      memos_.bytes += now_bytes - it->second->bytes;
-      it->second->bytes = now_bytes;
+      ReconcileMemoBytes(*it->second);
       cached = it->second->value;
     }
   }
@@ -146,6 +143,25 @@ std::shared_ptr<SatMemo> OracleCache::SatTable(const BooleanQuery& query,
   }
   EnforceBudget();
   return resident;
+}
+
+void OracleCache::SettleSatTable(const BooleanQuery& query,
+                                 const PartitionedDatabase& db) {
+  const std::string key = Fingerprint("sat-memo", query, db);
+  {
+    std::lock_guard<std::mutex> lock(memos_.mutex);
+    auto it = memos_.index.find(std::string_view(key));
+    if (it == memos_.index.end()) return;
+    ReconcileMemoBytes(*it->second);
+  }
+  EnforceBudget();
+}
+
+void OracleCache::ReconcileMemoBytes(
+    Shard<std::shared_ptr<SatMemo>>::Entry& entry) {
+  const size_t now_bytes = entry.key.size() + entry.value->ApproxBytes();
+  memos_.bytes += now_bytes - entry.bytes;
+  entry.bytes = now_bytes;
 }
 
 void OracleCache::EnforceBudget() {

@@ -105,6 +105,15 @@ class OracleCache {
   std::shared_ptr<SatMemo> SatTable(const BooleanQuery& query,
                                     const PartitionedDatabase& db);
 
+  /// Charges the resident (query, db) memo's current footprint to the
+  /// byte budget and evicts if that overruns it. The sampling engine calls
+  /// this when the run that grew the memo ends: SatTable inserts memos
+  /// empty, so a memo whose input never repeats would otherwise never be
+  /// charged. Not a lookup — counts neither a hit nor a miss, and leaves
+  /// the LRU order alone. No-op if the memo was evicted meanwhile.
+  void SettleSatTable(const BooleanQuery& query,
+                      const PartitionedDatabase& db);
+
   /// The canonical cache key; exposed for tests and diagnostics.
   static std::string Fingerprint(const std::string& oracle_name,
                                  const BooleanQuery& query,
@@ -207,6 +216,10 @@ class OracleCache {
       bytes = 0;
     }
   };
+
+  /// Re-reads a resident memo's footprint into the table's byte total
+  /// (caller holds memos_.mutex).
+  void ReconcileMemoBytes(Shard<std::shared_ptr<SatMemo>>::Entry& entry);
 
   /// Applies both bounds; locks all shards (scoped_lock, deadlock-free).
   void EnforceBudget();

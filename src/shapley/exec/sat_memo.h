@@ -11,15 +11,18 @@
 namespace shapley {
 
 /// A concurrent memo of coalition-satisfaction verdicts for ONE
-/// (query, database) pair: coalition bitmask over the sorted endogenous
-/// facts → [S ∪ Dx |= q]. This is the shared fast path of the sampling
-/// engine — random permutation prefixes revisit small coalitions
-/// constantly (the empty prefix every permutation, size-1 prefixes every
-/// n-th, ...), and each hit replaces one full query evaluation.
+/// (query, database) pair: coalition bitmask over the endogenous facts →
+/// [S ∪ Dx |= q]. This is the sampling engine's shared oracle on
+/// the inputs its lineage masks cannot serve (non-monotone queries, and
+/// monotone ones whose lineage is too large) — random permutation prefixes
+/// revisit small coalitions constantly (the empty prefix every
+/// permutation, size-1 prefixes every n-th, ...), and each hit replaces
+/// one full query evaluation.
 ///
-/// Masks index the endogenous facts in their Database order, which is
-/// sorted and deduplicated — so two databases with equal fact sets assign
-/// equal masks, and a memo keyed by the OracleCache fingerprint (see
+/// The sampling engine indexes masks by its canonical player positions
+/// (the endogenous facts sorted by their rendered text), a pure function
+/// of the fact set — so two databases with equal fact sets assign equal
+/// masks, and a memo keyed by the OracleCache fingerprint (see
 /// OracleCache::SatTable) is shareable across requests, threads and
 /// engine instances for the same (query, Dn, Dx).
 ///
@@ -39,9 +42,9 @@ class SatMemo {
   static constexpr size_t kBytesPerEntry = 48;
 
   /// Approximate heap footprint right now. Memos grow after insertion, so
-  /// OracleCache re-reads this on every SatTable access and reconciles
-  /// its byte budget (growth between accesses is bounded by
-  /// kMaxEntries · kBytesPerEntry).
+  /// OracleCache re-reads this on every SatTable access, and again when
+  /// the sampling run that grew the memo ends (SettleSatTable), and
+  /// reconciles its byte budget.
   size_t ApproxBytes() const {
     return sizeof(SatMemo) + entries() * kBytesPerEntry;
   }

@@ -269,6 +269,18 @@ std::vector<Database> EnumerateMinimalSupports(const BooleanQuery& query,
   return FilterMinimal(std::move(candidates));
 }
 
+bool HasStructuralSupports(const BooleanQuery& query) {
+  if (const auto* conj = dynamic_cast<const ConjunctionQuery*>(&query)) {
+    return HasStructuralSupports(*conj->left()) &&
+           HasStructuralSupports(*conj->right());
+  }
+  return dynamic_cast<const ConjunctiveQuery*>(&query) != nullptr ||
+         dynamic_cast<const UnionQuery*>(&query) != nullptr ||
+         dynamic_cast<const RegularPathQuery*>(&query) != nullptr ||
+         dynamic_cast<const ConjunctiveRegularPathQuery*>(&query) != nullptr ||
+         dynamic_cast<const UnionCrpq*>(&query) != nullptr;
+}
+
 CqPtr CoreOfCq(const ConjunctiveQuery& cq) {
   if (cq.HasNegation()) {
     throw std::invalid_argument("CoreOfCq: defined for positive CQs only");

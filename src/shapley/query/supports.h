@@ -37,6 +37,11 @@ std::vector<Database> EnumerateMinimalSupports(const BooleanQuery& query,
                                                const Database& db,
                                                size_t cap = 200000);
 
+/// True iff EnumerateMinimalSupports handles `query` structurally (one of
+/// the complete classes above, conjunctions of them included) — i.e. never
+/// through the subset-enumeration fallback, whose cost is 2^|db|.
+bool HasStructuralSupports(const BooleanQuery& query);
+
 /// The core of a positive CQ: a minimal equivalent subquery, computed by
 /// repeatedly dropping atoms whose removal preserves hom-equivalence.
 /// Duplicated atoms are removed first. Throws for CQs with negation.

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "shapley/approx/rng.h"
@@ -71,7 +72,8 @@ TEST(SamplingTest, SplitMixBoundedDrawsAreInRangeAndDeterministic) {
     const uint64_t bound = 1 + (static_cast<uint64_t>(i) % 17);
     const uint64_t draw = a.NextBelow(bound);
     EXPECT_LT(draw, bound);
-    EXPECT_EQ(draw, b.NextBelow(bound));
+    // Same seed, same draw — also through the precomputed-threshold form.
+    EXPECT_EQ(draw, b.NextBelow(bound, SplitMix64::Threshold(bound)));
   }
   EXPECT_NE(MixSeed(1, 0), MixSeed(1, 1));
   EXPECT_NE(MixSeed(1, 0), MixSeed(2, 0));
@@ -160,7 +162,9 @@ TEST(SamplingTest, SampleBudgetCapWidensTheReportedHalfWidth) {
 
 TEST(SamplingTest, SharedSatMemoAmortizesAcrossRequestsViaOracleCache) {
   auto schema = Schema::Create();
-  QueryPtr query = ParseQuery(schema, "R(x), S(x,y), T(y)");
+  // Non-monotone: lineage masks cannot decide it, so prefixes are
+  // evaluated on the world and memoized.
+  QueryPtr query = ParseQuery(schema, "S(x,y), R(x), !R(y)");
   PartitionedDatabase db = RandomDb(schema, 11);
   OracleCache cache;
 
@@ -181,6 +185,53 @@ TEST(SamplingTest, SharedSatMemoAmortizesAcrossRequestsViaOracleCache) {
   // And the memo is a real OracleCache resident: same (query, db) maps to
   // the same table.
   EXPECT_EQ(cache.SatTable(*query, db), cache.SatTable(*query, db));
+}
+
+// Monotone queries over at most 64 facts decide every prefix coalition by
+// lineage bitmasks: no query evaluation, so nothing to memoize — the run
+// reports no memo hits and never creates a SatTable entry.
+TEST(SamplingTest, MonotoneQueriesDecidePrefixesWithoutTheMemo) {
+  auto schema = Schema::Create();
+  QueryPtr query = ParseQuery(schema, "R(x), S(x,y), T(y)");
+  PartitionedDatabase db = RandomDb(schema, 11);
+  OracleCache cache;
+
+  SamplingSvc sampler(ApproxParams{.epsilon = 0.1, .delta = 0.1, .seed = 4});
+  sampler.set_exec_context(ExecContext{nullptr, &cache});
+  std::map<Fact, BigRational> first = sampler.AllValues(*query, db);
+  EXPECT_EQ(sampler.last_info().memo_hits, 0u);
+  const OracleCache::TableStats memos = cache.PerTableStats().memos;
+  EXPECT_EQ(memos.misses, 0u);
+  EXPECT_EQ(memos.hits, 0u);
+  EXPECT_EQ(memos.inserts, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // The same estimate without a cache: the cache only ever served memos.
+  SamplingSvc uncached(ApproxParams{.epsilon = 0.1, .delta = 0.1, .seed = 4});
+  EXPECT_EQ(first, uncached.AllValues(*query, db));
+}
+
+// A monotone lineage with more supports than the lineage path admits
+// (here 20³ = 8000 clauses over 60 facts) takes the Evaluate + SatMemo
+// path instead — the run still completes, through the memo.
+TEST(SamplingTest, OversizedLineageFallsBackToTheMemoPath) {
+  auto schema = Schema::Create();
+  QueryPtr query = ParseQuery(schema, "R(x), S(y), T(z)");
+  std::string text;
+  for (int i = 0; i < 20; ++i) {
+    const std::string c = "c" + std::to_string(i);
+    text += "R(" + c + ") S(" + c + ") T(" + c + ") ";
+  }
+  PartitionedDatabase db = ParsePartitionedDatabase(schema, text);
+  ASSERT_EQ(db.NumEndogenous(), 60u);
+  OracleCache cache;
+
+  SamplingSvc sampler(ApproxParams{.epsilon = 0.1, .delta = 0.1, .seed = 4});
+  sampler.set_exec_context(ExecContext{nullptr, &cache});
+  std::map<Fact, BigRational> values = sampler.AllValues(*query, db);
+  EXPECT_EQ(values.size(), 60u);
+  EXPECT_EQ(cache.PerTableStats().memos.misses, 1u);
+  EXPECT_GT(sampler.last_info().memo_hits, 0u);
 }
 
 TEST(SamplingTest, ValidatesParamsAndFactEndogeneity) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "shapley/approx/sampling.h"
 #include "shapley/data/parser.h"
 #include "shapley/engines/fgmc.h"
 #include "shapley/exec/thread_pool.h"
@@ -198,6 +201,34 @@ TEST_F(OracleCacheTest, AccountsApproximateBytesAndEvictsBySize) {
     EXPECT_EQ(tiny.size(), 1u);
   }
   EXPECT_EQ(tiny.evictions(), 3u);
+}
+
+// SatTable inserts each memo empty; the sampling run that grows it settles
+// its real footprint when it ends. Memos of inputs that never repeat must
+// therefore still be charged to max_bytes — and evicted once they overrun
+// it — without the settle counting as a lookup.
+TEST_F(OracleCacheTest, SamplingRunsChargeTheirMemoGrowthToTheByteBudget) {
+  QueryPtr q = ParseCq(schema_, "S(x,y), R(x), !R(y)");
+  constexpr size_t kMaxBytes = 64 << 10;
+  constexpr size_t kInstances = 24;
+  OracleCache cache(/*max_entries=*/1 << 16, kMaxBytes);
+  for (size_t i = 0; i < kInstances; ++i) {
+    // Distinct instances: no memo is ever looked up twice.
+    const std::string c = "c" + std::to_string(i);
+    PartitionedDatabase db = ParsePartitionedDatabase(
+        schema_, "R(a) R(b) R(" + c + ") S(a,b) S(b," + c + ") S(" + c +
+                     ",a) S(a,a) S(b,d) | R(d) S(d," + c + ")");
+    SamplingSvc sampler(
+        ApproxParams{.epsilon = 0.1, .delta = 0.1, .seed = i + 1});
+    sampler.set_exec_context(ExecContext{nullptr, &cache});
+    sampler.AllValues(*q, db);
+    EXPECT_LE(cache.bytes_used(), kMaxBytes) << "after instance " << i;
+  }
+  const OracleCache::TableStats memos = cache.PerTableStats().memos;
+  EXPECT_EQ(memos.misses, kInstances);
+  EXPECT_EQ(memos.hits, 0u);  // Settling is not a lookup.
+  EXPECT_GT(memos.evictions, 0u);
+  EXPECT_GT(cache.evictions(), 0u);
 }
 
 TEST_F(OracleCacheTest, ThreadSafeUnderConcurrentMixedAccess) {

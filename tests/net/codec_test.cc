@@ -170,6 +170,9 @@ TEST(CodecTest, ResponsesRoundTripBitIdentically) {
     request.query = query;
     request.db = db;
   }
+  // The estimate runs a non-monotone query: only those are decided through
+  // the SatMemo, so its hit count is nonzero.
+  requests[1].query = ParseQuery(schema, "S(x,y), R(x), !R(y)");
   requests[1].engine = "sampling";
   requests[1].approx.seed = 7;
   requests[2].mode = SvcMode::kTopK;

@@ -15,16 +15,25 @@
 //   depend on which parallel batch inserts a coalition first and on how
 //   warm the memo already is) — and "trace".
 //
-// The warm rerun reports MORE memo hits than the cold run, deterministically
-// (every coalition the cold run evaluated is memoized by then), so a count
-// that leaked into the canonical form fails here on every run.
+// The request runs a non-monotone query, which the sampler decides through
+// the SatMemo (monotone ones are decided by lineage masks and report no
+// memo hits at all). The warm rerun reports MORE memo hits than the cold
+// run, deterministically (every coalition the cold run evaluated is
+// memoized by then), so a count that leaked into the canonical form fails
+// here on every run. The same check runs again with every core kept busy by
+// CPU burners: the contract must not depend on how the scheduler
+// interleaves the pool's batches.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "shapley/data/parser.h"
@@ -55,10 +64,13 @@ std::optional<size_t> MemoHits(const std::string& raw,
   return response.approx->memo_hits;
 }
 
-TEST(ReplayContract, SampledResponseIsCanonicalAcrossPoolSizesAndWarmMemo) {
+/// Serves one seeded sampled request cold and warm on fresh servers of 1,
+/// 2 and 8 pool threads, and requires one canonical response throughout
+/// while the memo-hit telemetry grows from cold to warm.
+void ExpectCanonicalAcrossPoolSizesAndWarmMemo() {
   auto schema = Schema::Create();
   SvcRequest sampled;
-  sampled.query = ParseUcq(schema, "R(x), S(x,y), T(y)")->disjuncts()[0];
+  sampled.query = ParseUcq(schema, "S(x,y), R(x), !R(y)")->disjuncts()[0];
   sampled.db = ParsePartitionedDatabase(
       schema, "R(a) R(b) S(a,b) S(b,c) S(a,c) T(b) T(c) S(c,a) | R(c) T(a)");
   sampled.engine = "sampling";
@@ -98,6 +110,41 @@ TEST(ReplayContract, SampledResponseIsCanonicalAcrossPoolSizesAndWarmMemo) {
   }
   ASSERT_TRUE(reference.has_value());
   EXPECT_NE(reference->find("\"approx\":{"), std::string::npos) << *reference;
+}
+
+TEST(ReplayContract, SampledResponseIsCanonicalAcrossPoolSizesAndWarmMemo) {
+  ExpectCanonicalAcrossPoolSizesAndWarmMemo();
+}
+
+/// Spinning threads that keep cores busy for their lifetime; joined on
+/// destruction, on every exit path of the test.
+class CpuBurners {
+ public:
+  explicit CpuBurners(unsigned count) {
+    for (unsigned i = 0; i < count; ++i) {
+      threads_.emplace_back([this] {
+        volatile uint64_t sink = 0;
+        while (!stop_.load(std::memory_order_relaxed)) sink = sink + 1;
+      });
+    }
+  }
+  CpuBurners(const CpuBurners&) = delete;
+  CpuBurners& operator=(const CpuBurners&) = delete;
+  ~CpuBurners() {
+    stop_.store(true);
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
+TEST(ReplayContract, SampledResponseIsCanonicalUnderCpuLoad) {
+  // One burner per core (at most 4), so pool workers are preempted
+  // mid-batch and batches finish in scrambled orders.
+  CpuBurners burners(std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
+  ExpectCanonicalAcrossPoolSizesAndWarmMemo();
 }
 
 }  // namespace

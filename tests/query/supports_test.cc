@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+
 #include "shapley/data/parser.h"
 #include "shapley/query/conjunction_query.h"
 #include "shapley/query/query_parser.h"
@@ -97,6 +101,39 @@ TEST_F(SupportsTest, EnumerateConjunction) {
   auto supports = EnumerateMinimalSupports(*q, db);
   EXPECT_EQ(supports.size(), 2u);
   for (const Database& s : supports) EXPECT_EQ(s.size(), 2u);
+}
+
+// A monotone query of a class the enumerator does not know structurally
+// (here: "the database has at least two facts").
+class AtLeastTwoFacts : public BooleanQuery {
+ public:
+  explicit AtLeastTwoFacts(std::shared_ptr<Schema> schema)
+      : schema_(std::move(schema)) {}
+  bool Evaluate(const Database& db) const override { return db.size() >= 2; }
+  std::set<Constant> QueryConstants() const override { return {}; }
+  std::string ToString() const override { return "|D| >= 2"; }
+  const std::shared_ptr<Schema>& schema() const override { return schema_; }
+
+ private:
+  std::shared_ptr<Schema> schema_;
+};
+
+TEST_F(SupportsTest, StructuralSupportsExcludeTheSubsetFallback) {
+  EXPECT_TRUE(HasStructuralSupports(*ParseCq(schema_, "R(x), S(x,y)")));
+  EXPECT_TRUE(HasStructuralSupports(*ParseUcq(schema_, "R(x) | S(x,y)")));
+  EXPECT_TRUE(HasStructuralSupports(*RegularPathQuery::Create(
+      schema_, Regex::Parse("A A"), Constant::Named("s"),
+      Constant::Named("t"))));
+  QueryPtr other = std::make_shared<AtLeastTwoFacts>(schema_);
+  EXPECT_FALSE(HasStructuralSupports(*other));
+  EXPECT_TRUE(HasStructuralSupports(*ConjunctionQuery::Create(
+      ParseCq(schema_, "P(x)"), ParseCq(schema_, "Q(y)"))));
+  EXPECT_FALSE(HasStructuralSupports(
+      *ConjunctionQuery::Create(ParseCq(schema_, "P(x)"), other)));
+  // The class it reports as non-structural really takes the subset
+  // enumeration: every 2-fact subset is a minimal support.
+  Database db = ParseDatabase(schema_, "P(a) P(b) P(c)");
+  EXPECT_EQ(EnumerateMinimalSupports(*other, db).size(), 3u);
 }
 
 TEST_F(SupportsTest, CoreRemovesRedundantAtoms) {
