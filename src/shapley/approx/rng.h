@@ -24,16 +24,7 @@ class SplitMix64 {
   /// Uniform draw from [0, bound), unbiased via rejection (Lemire's
   /// threshold trick: reject the partial final bucket of 2^64 / bound).
   uint64_t NextBelow(uint64_t bound) {
-    return NextBelow(bound, Threshold(bound));
-  }
-
-  /// The rejection threshold of NextBelow(bound). Loops that draw from the
-  /// same bounds over and over (one Fisher–Yates shuffle per permutation)
-  /// compute it once per bound instead of one 64-bit division per draw.
-  static uint64_t Threshold(uint64_t bound) { return (0 - bound) % bound; }
-
-  /// NextBelow with a precomputed Threshold(bound): the same draw.
-  uint64_t NextBelow(uint64_t bound, uint64_t threshold) {
+    const uint64_t threshold = (0 - bound) % bound;
     uint64_t r;
     do {
       r = Next();

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shapley/approx/rng.h"
@@ -15,7 +16,6 @@
 #include "shapley/exec/oracle_cache.h"
 #include "shapley/exec/sat_memo.h"
 #include "shapley/exec/thread_pool.h"
-#include "shapley/lineage/lineage.h"
 #include "shapley/obs/trace.h"
 #include "shapley/query/supports.h"
 
@@ -45,53 +45,74 @@ constexpr size_t kBatchesPerRound = 4;
 /// table without ever hitting.
 constexpr size_t kMemoMaxCoalition = 8;
 
-/// Support-enumeration cap of the lineage path. Lineage construction
-/// (hom search plus the quadratic minimality filter) must stay cheap next
-/// to the sampling it replaces; an instance with more supports than this
-/// takes the Evaluate + SatMemo path instead.
-constexpr size_t kLineageSupportCap = 1024;
+/// Homomorphism-image cap of the lineage path; an instance with more
+/// images takes the Evaluate + SatMemo path instead. Set from
+/// bench_lineage_cap (single-threaded, 4-vCPU Xeon): on the family least
+/// favorable to masks (a cross-product CQ, whose evaluation is three
+/// lookups) a mask-path request takes 0.17× the evaluate path's time at 64
+/// supports, 0.6× at 1000 and 1.0× at 1728; on a join through a dense Dx
+/// it takes 0.08× at 1024. An over-cap request first enumerates cap + 1
+/// images and throws them away: about 0.5 ms at this cap, 1.3× the
+/// cheapest evaluate-path request.
+constexpr size_t kLineageImageCap = 1024;
 
 /// The lineage of a monotone query as 64-bit clause masks over the
 /// sampler's canonical player positions: S ∪ Dx |= q iff some clause mask
-/// is a subset of S. Each clause is listed under every player it contains,
-/// so adding player p to a coalition tests only clauses_of[p] — the only
-/// clauses p can complete.
+/// is a subset of S. The clauses are the endogenous parts of the query's
+/// homomorphism images — every minimal support among them, plus supersets
+/// that change no verdict, so they are deduplicated but not absorbed. Each
+/// clause is listed under every player it contains, so adding player p to
+/// a coalition tests only clauses_of[p] — the only clauses p can complete.
 struct LineageMasks {
-  bool certainly_true = false;
+  bool certainly_true = false;  ///< Dx alone satisfies the query.
   std::vector<std::vector<uint64_t>> clauses_of;
 };
 
 /// The masks of `query` over `db`, with player p standing for the fact
 /// endo[order[p]]. Nullopt when masks cannot decide the instance exactly
-/// and cheaply: a non-monotone query, more than 64 players, a query class
-/// whose supports would be enumerated subset by subset, or more supports
-/// than kLineageSupportCap.
+/// and cheaply: a non-monotone query, more than 64 players, a query whose
+/// supports are not homomorphism images (path queries: their support
+/// search can run exponentially long without finding a support), or more
+/// images than kLineageImageCap.
 std::optional<LineageMasks> BuildLineageMasks(
     const BooleanQuery& query, const PartitionedDatabase& db,
     const std::vector<size_t>& order) {
   const size_t n = order.size();
-  if (!query.IsMonotone() || n > 64 || !HasStructuralSupports(query)) {
-    return std::nullopt;
-  }
-  Lineage lineage;
+  if (!query.IsMonotone() || n > 64) return std::nullopt;
+  std::vector<Database> images;
   try {
-    lineage = BuildLineage(query, db, kLineageSupportCap);
+    images = EnumerateHomImages(query, db.AllFacts(), kLineageImageCap);
   } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-  // Lineage variables are endogenous indices; players are canonical
-  // positions.
+  // Endogenous facts are sorted, so an image fact's endogenous index is a
+  // binary search away; exogenous facts are always present and drop out.
+  const auto& endo = db.endogenous().facts();
   std::vector<size_t> player_of(n);
   for (size_t p = 0; p < n; ++p) player_of[order[p]] = p;
 
   LineageMasks out;
-  out.certainly_true = lineage.certainly_true;
-  out.clauses_of.resize(n);
-  for (const std::vector<uint32_t>& clause : lineage.clauses) {
+  std::vector<uint64_t> clauses;
+  for (const Database& image : images) {
     uint64_t mask = 0;
-    for (uint32_t variable : clause) mask |= uint64_t{1} << player_of[variable];
-    for (uint32_t variable : clause) {
-      out.clauses_of[player_of[variable]].push_back(mask);
+    for (const Fact& fact : image.facts()) {
+      auto it = std::lower_bound(endo.begin(), endo.end(), fact);
+      if (it != endo.end() && *it == fact) {
+        mask |= uint64_t{1} << player_of[it - endo.begin()];
+      }
+    }
+    if (mask == 0) {
+      out.certainly_true = true;
+      return out;
+    }
+    clauses.push_back(mask);
+  }
+  std::sort(clauses.begin(), clauses.end());
+  clauses.erase(std::unique(clauses.begin(), clauses.end()), clauses.end());
+  out.clauses_of.resize(n);
+  for (uint64_t clause : clauses) {
+    for (uint64_t rest = clause; rest != 0; rest &= rest - 1) {
+      out.clauses_of[std::countr_zero(rest)].push_back(clause);
     }
   }
   return out;
@@ -345,30 +366,26 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
   const std::optional<LineageMasks> lineage_masks =
       BuildLineageMasks(query, db, order);
   std::shared_ptr<SatMemo> memo;
+  std::string memo_key;  // Non-empty iff the memo is the cache's.
   if (!lineage_masks.has_value() && n <= 64) {
-    memo = exec_.cache != nullptr ? exec_.cache->SatTable(query, db)
-                                  : std::make_shared<SatMemo>();
+    if (exec_.cache != nullptr) {
+      memo_key = OracleCache::SatTableKey(query, db);
+      memo = exec_.cache->SatTable(memo_key);
+    } else {
+      memo = std::make_shared<SatMemo>();
+    }
   }
   // SatTable inserts the memo empty; the run charges what it grew the memo
   // to when it ends, however it ends (completed, cancelled, past its
   // deadline).
   auto settle_memo = [&] {
-    if (memo != nullptr && exec_.cache != nullptr) {
-      exec_.cache->SettleSatTable(query, db);
-    }
+    if (!memo_key.empty()) exec_.cache->SettleSatTable(memo_key);
   };
 
   // v(∅) = [Dx |= q], the `prev` seed of every walk — decided once.
   const bool base_satisfied = lineage_masks.has_value()
                                   ? lineage_masks->certainly_true
                                   : query.Evaluate(db.exogenous());
-
-  // Every Fisher–Yates shuffle draws from the bounds 2..n; their rejection
-  // thresholds are computed once per request.
-  std::vector<uint64_t> shuffle_thresholds(n + 1, 0);
-  for (size_t bound = 1; bound <= n; ++bound) {
-    shuffle_thresholds[bound] = SplitMix64::Threshold(bound);
-  }
 
   // Retirement snapshot the walks truncate against (canonical positions;
   // empty = truncation off or nothing retired yet). Updated ONLY between
@@ -474,8 +491,7 @@ std::map<Fact, BigRational> SamplingSvc::AllValues(
         // deterministic (batches replay their whole schedule from the
         // seed).
         for (size_t i = n - 1; i > 0; --i) {
-          std::swap(perm[i],
-                    perm[rng.NextBelow(i + 1, shuffle_thresholds[i + 1])]);
+          std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
         }
 
         walk(perm, coalition);

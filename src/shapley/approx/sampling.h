@@ -56,15 +56,18 @@ namespace shapley {
 ///  - monotone queries early-exit a walk at the first satisfied prefix
 ///    (all later marginals are 0), which in practice cuts the walk to the
 ///    satisfying prefix length;
-///  - for a monotone query over |Dn| ≤ 64, "S ∪ Dx |= q" is one fixed
-///    positive DNF of S — the lineage (lineage/lineage.h), whose clauses
-///    are the endogenous parts of the minimal supports. It is built once
-///    per request, each clause becomes a 64-bit mask over the canonical
-///    positions, and the masks are indexed by player, so adding a player
-///    to the prefix tests only the clauses it can complete: no world, no
-///    query evaluation, no memo;
-///  - every other instance (non-monotone queries, |Dn| > 64, or a lineage
-///    with more minimal supports than a fixed internal cap) evaluates the
+///  - for a monotone CQ or UCQ (or a conjunction of them) over |Dn| ≤ 64,
+///    "S ∪ Dx |= q" is one fixed positive DNF of S — the lineage
+///    (lineage/lineage.h), whose clauses are the endogenous parts of the
+///    minimal supports. The query's homomorphism images (supports that
+///    include every minimal one, query/supports.h EnumerateHomImages) are
+///    enumerated once per request, each becomes a 64-bit clause mask over
+///    the canonical positions, and the masks are indexed by player, so
+///    adding a player to the prefix tests only the clauses it can
+///    complete: no world, no query evaluation, no memo;
+///  - every other instance (non-monotone queries, path queries, whose
+///    support search is exponential in the graph, |Dn| > 64, or more
+///    homomorphism images than a fixed internal cap) evaluates the
 ///    query on each prefix world; small prefix coalitions are memoized in
 ///    a SatMemo shared through the exec-context OracleCache under the same
 ///    canonical fingerprint as counting work (|Dn| ≤ 64 only), so repeated

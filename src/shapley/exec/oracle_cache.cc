@@ -108,9 +108,12 @@ std::shared_ptr<const DdnnfCircuit> OracleCache::Circuit(
   return resident;
 }
 
-std::shared_ptr<SatMemo> OracleCache::SatTable(const BooleanQuery& query,
-                                               const PartitionedDatabase& db) {
-  const std::string key = Fingerprint("sat-memo", query, db);
+std::string OracleCache::SatTableKey(const BooleanQuery& query,
+                                     const PartitionedDatabase& db) {
+  return Fingerprint("sat-memo", query, db);
+}
+
+std::shared_ptr<SatMemo> OracleCache::SatTable(const std::string& key) {
   std::shared_ptr<SatMemo> cached;
   {
     std::lock_guard<std::mutex> lock(memos_.mutex);
@@ -145,9 +148,7 @@ std::shared_ptr<SatMemo> OracleCache::SatTable(const BooleanQuery& query,
   return resident;
 }
 
-void OracleCache::SettleSatTable(const BooleanQuery& query,
-                                 const PartitionedDatabase& db) {
-  const std::string key = Fingerprint("sat-memo", query, db);
+void OracleCache::SettleSatTable(const std::string& key) {
   {
     std::lock_guard<std::mutex> lock(memos_.mutex);
     auto it = memos_.index.find(std::string_view(key));

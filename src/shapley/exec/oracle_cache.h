@@ -101,9 +101,9 @@ class OracleCache {
   /// same canonical fingerprint as the counting tables — so the sampling
   /// engine's repeated sub-coalition evaluations amortize across batches,
   /// threads, requests and engine instances exactly like counting work
-  /// does. Creates an empty memo on first use; never null.
-  std::shared_ptr<SatMemo> SatTable(const BooleanQuery& query,
-                                    const PartitionedDatabase& db);
+  /// does. `key` is SatTableKey(query, db). Creates an empty memo on first
+  /// use; never null.
+  std::shared_ptr<SatMemo> SatTable(const std::string& key);
 
   /// Charges the resident (query, db) memo's current footprint to the
   /// byte budget and evicts if that overruns it. The sampling engine calls
@@ -111,8 +111,13 @@ class OracleCache {
   /// empty, so a memo whose input never repeats would otherwise never be
   /// charged. Not a lookup — counts neither a hit nor a miss, and leaves
   /// the LRU order alone. No-op if the memo was evicted meanwhile.
-  void SettleSatTable(const BooleanQuery& query,
-                      const PartitionedDatabase& db);
+  void SettleSatTable(const std::string& key);
+
+  /// The key of the (query, db) memo in SatTable and SettleSatTable:
+  /// computed once per sampling run, since fingerprinting renders and
+  /// sorts the whole instance.
+  static std::string SatTableKey(const BooleanQuery& query,
+                                 const PartitionedDatabase& db);
 
   /// The canonical cache key; exposed for tests and diagnostics.
   static std::string Fingerprint(const std::string& oracle_name,

@@ -65,6 +65,18 @@ std::vector<Database> HomomorphismImages(const ConjunctiveQuery& cq,
   return images;
 }
 
+// The homomorphism images of every disjunct of a UCQ.
+std::vector<Database> DisjunctImages(const UnionQuery& ucq, const Database& db,
+                                     size_t cap) {
+  std::vector<Database> images;
+  for (const CqPtr& disjunct : ucq.disjuncts()) {
+    auto more = HomomorphismImages(*disjunct, db, cap);
+    images.insert(images.end(), more.begin(), more.end());
+    CheckCap(images.size(), cap);
+  }
+  return images;
+}
+
 // Minimal edge-sets supporting an accepting product walk from src to dst.
 // Explores all walks that never revisit a (constant, state) pair; each
 // minimal support is the edge set of such a walk (revisits can be cut).
@@ -241,11 +253,7 @@ std::vector<Database> EnumerateMinimalSupports(const BooleanQuery& query,
   if (const auto* cq = dynamic_cast<const ConjunctiveQuery*>(&query)) {
     candidates = HomomorphismImages(*cq, db, cap);
   } else if (const auto* ucq = dynamic_cast<const UnionQuery*>(&query)) {
-    for (const CqPtr& disjunct : ucq->disjuncts()) {
-      auto images = HomomorphismImages(*disjunct, db, cap);
-      candidates.insert(candidates.end(), images.begin(), images.end());
-      CheckCap(candidates.size(), cap);
-    }
+    candidates = DisjunctImages(*ucq, db, cap);
   } else if (const auto* rpq = dynamic_cast<const RegularPathQuery*>(&query)) {
     candidates = PathSupports(db, rpq->dfa(), rpq->source(), rpq->target(), cap);
   } else if (const auto* crpq =
@@ -269,16 +277,24 @@ std::vector<Database> EnumerateMinimalSupports(const BooleanQuery& query,
   return FilterMinimal(std::move(candidates));
 }
 
-bool HasStructuralSupports(const BooleanQuery& query) {
-  if (const auto* conj = dynamic_cast<const ConjunctionQuery*>(&query)) {
-    return HasStructuralSupports(*conj->left()) &&
-           HasStructuralSupports(*conj->right());
+std::vector<Database> EnumerateHomImages(const BooleanQuery& query,
+                                         const Database& db, size_t cap) {
+  RequireMonotone(query);
+  if (const auto* cq = dynamic_cast<const ConjunctiveQuery*>(&query)) {
+    return HomomorphismImages(*cq, db, cap);
   }
-  return dynamic_cast<const ConjunctiveQuery*>(&query) != nullptr ||
-         dynamic_cast<const UnionQuery*>(&query) != nullptr ||
-         dynamic_cast<const RegularPathQuery*>(&query) != nullptr ||
-         dynamic_cast<const ConjunctiveRegularPathQuery*>(&query) != nullptr ||
-         dynamic_cast<const UnionCrpq*>(&query) != nullptr;
+  if (const auto* ucq = dynamic_cast<const UnionQuery*>(&query)) {
+    return DisjunctImages(*ucq, db, cap);
+  }
+  if (const auto* conj = dynamic_cast<const ConjunctionQuery*>(&query)) {
+    std::vector<std::vector<Database>> parts;
+    parts.push_back(EnumerateHomImages(*conj->left(), db, cap));
+    parts.push_back(EnumerateHomImages(*conj->right(), db, cap));
+    return UnionCombinations(parts, db.schema(), cap);
+  }
+  throw std::invalid_argument("EnumerateHomImages: supports of " +
+                              query.ToString() +
+                              " are not homomorphism images of a CQ or UCQ");
 }
 
 CqPtr CoreOfCq(const ConjunctiveQuery& cq) {

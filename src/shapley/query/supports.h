@@ -37,10 +37,19 @@ std::vector<Database> EnumerateMinimalSupports(const BooleanQuery& query,
                                                const Database& db,
                                                size_t cap = 200000);
 
-/// True iff EnumerateMinimalSupports handles `query` structurally (one of
-/// the complete classes above, conjunctions of them included) — i.e. never
-/// through the subset-enumeration fallback, whose cost is 2^|db|.
-bool HasStructuralSupports(const BooleanQuery& query);
+/// Supports of `query` in `db` among which are all its minimal ones, for
+/// the queries whose supports are homomorphism images: ConjunctiveQuery,
+/// UnionQuery, and ConjunctionQuery over those (one image per operand,
+/// united). The images are neither deduplicated nor filtered for
+/// minimality, so the cost is the homomorphism search (which Evaluate runs
+/// too) plus the images themselves, and `cap` bounds the whole enumeration
+/// — unlike the path classes, whose walk search can run exponentially long
+/// while finding few supports, and the 2^|db| subset fallback. Throws
+/// std::invalid_argument for any other query class, a non-monotone query,
+/// or more than `cap` images.
+std::vector<Database> EnumerateHomImages(const BooleanQuery& query,
+                                         const Database& db,
+                                         size_t cap = 200000);
 
 /// The core of a positive CQ: a minimal equivalent subquery, computed by
 /// repeatedly dropping atoms whose removal preserves hom-equivalence.

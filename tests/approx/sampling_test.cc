@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,11 +14,13 @@
 
 #include "shapley/approx/rng.h"
 #include "shapley/approx/stopping.h"
+#include "shapley/automata/regex.h"
 #include "shapley/data/parser.h"
 #include "shapley/engines/svc.h"
 #include "shapley/exec/oracle_cache.h"
 #include "shapley/exec/thread_pool.h"
 #include "shapley/gen/generators.h"
+#include "shapley/query/path_query.h"
 #include "shapley/query/query_parser.h"
 
 namespace shapley {
@@ -72,8 +75,7 @@ TEST(SamplingTest, SplitMixBoundedDrawsAreInRangeAndDeterministic) {
     const uint64_t bound = 1 + (static_cast<uint64_t>(i) % 17);
     const uint64_t draw = a.NextBelow(bound);
     EXPECT_LT(draw, bound);
-    // Same seed, same draw — also through the precomputed-threshold form.
-    EXPECT_EQ(draw, b.NextBelow(bound, SplitMix64::Threshold(bound)));
+    EXPECT_EQ(draw, b.NextBelow(bound));
   }
   EXPECT_NE(MixSeed(1, 0), MixSeed(1, 1));
   EXPECT_NE(MixSeed(1, 0), MixSeed(2, 0));
@@ -184,7 +186,8 @@ TEST(SamplingTest, SharedSatMemoAmortizesAcrossRequestsViaOracleCache) {
 
   // And the memo is a real OracleCache resident: same (query, db) maps to
   // the same table.
-  EXPECT_EQ(cache.SatTable(*query, db), cache.SatTable(*query, db));
+  const std::string key = OracleCache::SatTableKey(*query, db);
+  EXPECT_EQ(cache.SatTable(key), cache.SatTable(key));
 }
 
 // Monotone queries over at most 64 facts decide every prefix coalition by
@@ -295,6 +298,40 @@ TEST(SamplingTest, HonorsCancellationAndDeadlineMidRun) {
   } catch (const SvcException& e) {
     EXPECT_EQ(e.error().code, SvcErrorCode::kDeadlineExceeded);
   }
+}
+
+// A monotone path query whose support search would walk exponentially
+// many paths: (A|B)* C over 30 layers of parallel A/B edges (60 facts) and
+// no C edge has 2^30 walks and not one support. Path queries never take the
+// lineage path, so the run evaluates prefixes (a product-graph BFS each)
+// and its deadline is checked between batches as usual.
+TEST(SamplingTest, LayeredPathQueryHonorsItsDeadline) {
+  auto schema = Schema::Create();
+  QueryPtr query = RegularPathQuery::Create(
+      schema, Regex::Parse("(A|B)* C"), Constant::Named("v0"),
+      Constant::Named("t"));
+  std::string text;
+  for (int i = 0; i < 30; ++i) {
+    const std::string edge = "(v" + std::to_string(i) + ",v" +
+                             std::to_string(i + 1) + ") ";
+    text += "A" + edge + "B" + edge;
+  }
+  PartitionedDatabase db = ParsePartitionedDatabase(schema, text);
+  ASSERT_EQ(db.NumEndogenous(), 60u);
+
+  // A budget of ~74k permutations × 60 evaluations: far beyond the
+  // deadline, so the run must end by the deadline check.
+  SamplingSvc sampler(ApproxParams{.epsilon = 0.005, .delta = 0.05});
+  const auto start = std::chrono::steady_clock::now();
+  sampler.set_deadline(start + std::chrono::milliseconds(100));
+  try {
+    sampler.AllValues(*query, db);
+    FAIL() << "expected SvcException";
+  } catch (const SvcException& e) {
+    EXPECT_EQ(e.error().code, SvcErrorCode::kDeadlineExceeded);
+  }
+  // The deadline plus at most one batch (32 walks) of overshoot.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
 // Degenerate but exact cases the sampler must get right regardless of ε:

@@ -79,14 +79,15 @@ TEST_F(OracleCacheTest, SatTableSharesOneMemoPerFingerprint) {
   PartitionedDatabase other = ParsePartitionedDatabase(schema_, "R(a) S(a,c)");
 
   OracleCache cache;
-  std::shared_ptr<SatMemo> memo = cache.SatTable(*q, db);
+  const std::string key = OracleCache::SatTableKey(*q, db);
+  std::shared_ptr<SatMemo> memo = cache.SatTable(key);
   ASSERT_NE(memo, nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
   // Same (query, db) → same resident memo; verdicts written through one
   // handle are visible through the other.
   memo->Insert(0b11, true);
-  std::shared_ptr<SatMemo> again = cache.SatTable(*q, db);
+  std::shared_ptr<SatMemo> again = cache.SatTable(key);
   EXPECT_EQ(memo, again);
   EXPECT_EQ(cache.hits(), 1u);
   ASSERT_TRUE(again->Lookup(0b11).has_value());
@@ -94,7 +95,7 @@ TEST_F(OracleCacheTest, SatTableSharesOneMemoPerFingerprint) {
   EXPECT_FALSE(again->Lookup(0b01).has_value());
 
   // A different database is a different memo.
-  EXPECT_NE(cache.SatTable(*q, other), memo);
+  EXPECT_NE(cache.SatTable(OracleCache::SatTableKey(*q, other)), memo);
   EXPECT_EQ(cache.size(), 2u);
 }
 

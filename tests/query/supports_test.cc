@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "shapley/data/parser.h"
 #include "shapley/query/conjunction_query.h"
@@ -118,22 +120,42 @@ class AtLeastTwoFacts : public BooleanQuery {
   std::shared_ptr<Schema> schema_;
 };
 
-TEST_F(SupportsTest, StructuralSupportsExcludeTheSubsetFallback) {
-  EXPECT_TRUE(HasStructuralSupports(*ParseCq(schema_, "R(x), S(x,y)")));
-  EXPECT_TRUE(HasStructuralSupports(*ParseUcq(schema_, "R(x) | S(x,y)")));
-  EXPECT_TRUE(HasStructuralSupports(*RegularPathQuery::Create(
-      schema_, Regex::Parse("A A"), Constant::Named("s"),
-      Constant::Named("t"))));
+TEST_F(SupportsTest, HomImagesCoverCqsAndUcqsOnly) {
+  Database db = ParseDatabase(schema_, "R(a) S(a,b) R(c) P(a) Q(b) A(s,t)");
+  // CQs, UCQs and conjunctions of them: every image is a support, and
+  // every minimal support is an image.
+  const std::vector<QueryPtr> queries = {
+      ParseCq(schema_, "R(x), S(x,y)"), ParseUcq(schema_, "R(x) | S(x,y)"),
+      ConjunctionQuery::Create(ParseCq(schema_, "P(x)"),
+                               ParseCq(schema_, "Q(y)"))};
+  for (const QueryPtr& q : queries) {
+    const std::vector<Database> images = EnumerateHomImages(*q, db);
+    for (const Database& image : images) EXPECT_TRUE(q->Evaluate(image));
+    for (const Database& minimal : EnumerateMinimalSupports(*q, db)) {
+      EXPECT_NE(std::find(images.begin(), images.end(), minimal), images.end())
+          << q->ToString() << " misses " << minimal.ToString();
+    }
+  }
+  // Images are not filtered: S(a,b) ∪ R(a) is a support, not a minimal one.
+  EXPECT_EQ(EnumerateHomImages(*ParseUcq(schema_, "R(x) | R(x), S(x,y)"), db)
+                .size(),
+            3u);
+  // Path queries, and conjunctions reaching one, are refused rather than
+  // walked.
+  QueryPtr rpq = RegularPathQuery::Create(schema_, Regex::Parse("A"),
+                                          Constant::Named("s"),
+                                          Constant::Named("t"));
+  EXPECT_THROW(EnumerateHomImages(*rpq, db), std::invalid_argument);
+  QueryPtr with_rpq = ConjunctionQuery::Create(ParseCq(schema_, "P(x)"), rpq);
+  EXPECT_THROW(EnumerateHomImages(*with_rpq, db), std::invalid_argument);
+  // So are classes only the subset enumeration handles.
   QueryPtr other = std::make_shared<AtLeastTwoFacts>(schema_);
-  EXPECT_FALSE(HasStructuralSupports(*other));
-  EXPECT_TRUE(HasStructuralSupports(*ConjunctionQuery::Create(
-      ParseCq(schema_, "P(x)"), ParseCq(schema_, "Q(y)"))));
-  EXPECT_FALSE(HasStructuralSupports(
-      *ConjunctionQuery::Create(ParseCq(schema_, "P(x)"), other)));
-  // The class it reports as non-structural really takes the subset
-  // enumeration: every 2-fact subset is a minimal support.
-  Database db = ParseDatabase(schema_, "P(a) P(b) P(c)");
-  EXPECT_EQ(EnumerateMinimalSupports(*other, db).size(), 3u);
+  EXPECT_THROW(EnumerateHomImages(*other, db), std::invalid_argument);
+  Database three = ParseDatabase(schema_, "P(a) P(b) P(c)");
+  EXPECT_EQ(EnumerateMinimalSupports(*other, three).size(), 3u);
+  // And the cap bounds the collected images.
+  EXPECT_THROW(EnumerateHomImages(*ParseCq(schema_, "R(x)"), db, 1),
+               std::invalid_argument);
 }
 
 TEST_F(SupportsTest, CoreRemovesRedundantAtoms) {
